@@ -55,14 +55,12 @@ func main() {
 		qtimeout = flag.Duration("qtimeout", 0, "per-query deadline (default 30s)")
 		dataDir  = flag.String("data-dir", "", "WAL-backed durable chunk store directory; recovers committed state on startup (in-process stores only)")
 		vcache   = flag.Int64("view-cache", 0, "assembled-view cache budget in bytes (default 256MiB; negative disables view caching)")
-		joinW    = flag.Int("join-workers", 0, "snapshot-join fan-out width (default GOMAXPROCS; 1 forces serial)")
-		coldPath = flag.Bool("no-fastpath", false, "disable the query fast path (view cache, plan memo, parallel joins)")
 	)
 	flag.Parse()
 
 	if err := run(*dataset, *modeName, *strategy, *small, *distrib, *connect,
 		*listen, *metrics, *dataDir, *interval, *streamed, *adaptive, *batches, *conc, *queue, *qtimeout,
-		*vcache, *joinW, *coldPath); err != nil {
+		*vcache); err != nil {
 		fmt.Fprintln(os.Stderr, "ivmserve:", err)
 		os.Exit(1)
 	}
@@ -70,7 +68,7 @@ func main() {
 
 func run(dataset, modeName, strategy string, small, distrib bool, connect,
 	listen, metrics, dataDir string, interval time.Duration, streamed, adaptive bool, batches, conc, queue int, qtimeout time.Duration,
-	vcache int64, joinWorkers int, noFastPath bool) error {
+	vcache int64) error {
 	if dataDir != "" && distrib {
 		return fmt.Errorf("-data-dir journals in-process stores; it cannot be combined with -distributed")
 	}
@@ -161,41 +159,33 @@ func run(dataset, modeName, strategy string, small, distrib bool, connect,
 	if adaptive && !def.SelfJoin() {
 		return fmt.Errorf("-adaptive supports self-join views only (use a PTF dataset)")
 	}
-	m, err := maintain.NewMaintainer(cl, def, planner, spec.Params)
-	if err != nil {
-		return err
-	}
 	eng, err := query.NewEngine(cl, def, spec.Params)
 	if err != nil {
 		return err
 	}
+	srv := serve.NewServer(eng, &serve.Config{
+		MaxConcurrent:  conc,
+		QueueDepth:     queue,
+		QueryTimeout:   qtimeout,
+		ViewCacheBytes: vcache,
+	})
 	// With -adaptive, hot chunks maintain eagerly, cold-chunk deltas defer
 	// to the pending log, and the serving path materializes them before
 	// pinning a snapshot — queries stay exact, cold maintenance becomes
-	// pay-on-read.
+	// pay-on-read. Otherwise every batch maintains eagerly.
 	var am *maintain.AdaptiveMaintainer
-	counters := &obs.AdaptiveCounters{}
+	var m *maintain.Maintainer
 	if adaptive {
+		counters := &obs.AdaptiveCounters{}
 		cfg := maintain.DefaultAdaptiveConfig()
 		cfg.Project = maintain.DropDims(0)
 		cfg.Counters = counters
-		am, err = maintain.NewAdaptiveMaintainer(cl, def, planner, spec.Params, cfg)
-		if err != nil {
+		if am, err = maintain.NewAdaptiveMaintainer(cl, def, planner, spec.Params, cfg); err != nil {
 			return err
 		}
-		eng.Fresh = am.EnsureFresh
-	}
-
-	srv := serve.NewServer(eng, &serve.Config{
-		MaxConcurrent:   conc,
-		QueueDepth:      queue,
-		QueryTimeout:    qtimeout,
-		ViewCacheBytes:  vcache,
-		JoinWorkers:     joinWorkers,
-		DisableFastPath: noFastPath,
-	})
-	if am != nil {
 		srv.SetFresh(am.EnsureFresh, counters)
+	} else if m, err = maintain.NewMaintainer(cl, def, planner, spec.Params); err != nil {
+		return err
 	}
 	if dur != nil {
 		srv.SetDurable(dur.Counters())
@@ -205,7 +195,7 @@ func run(dataset, modeName, strategy string, small, distrib bool, connect,
 	}
 	defer srv.Close()
 	if metrics != "" {
-		ms, err := serve.StartMetrics(metrics, srv)
+		ms, err := obs.ServeJSON(metrics, func() any { return srv.Stats() })
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}

@@ -22,7 +22,7 @@ func TestSigtermLosesNoCommittedBatches(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run("PTF-5", "", "reassign", true, false, "",
-			"127.0.0.1:0", "", dir, 120*time.Millisecond, false, false, 0, 0, 0, 0, 0, 0, false)
+			"127.0.0.1:0", "", dir, 120*time.Millisecond, false, false, 0, 0, 0, 0, 0)
 	}()
 	// Let some batches commit, then terminate mid-workload. run's
 	// signal.Notify intercepts the process-wide SIGTERM.
@@ -113,7 +113,7 @@ func TestSigtermLosesNoCommittedBatches(t *testing.T) {
 	// batch k, and finishes the workload.
 	go func() {
 		done <- run("PTF-5", "", "reassign", true, false, "",
-			"127.0.0.1:0", "", dir, 10*time.Millisecond, false, false, 0, 0, 0, 0, 0, 0, false)
+			"127.0.0.1:0", "", dir, 10*time.Millisecond, false, false, 0, 0, 0, 0, 0)
 	}()
 	deadline := time.Now().Add(30 * time.Second)
 	for {

@@ -9,7 +9,7 @@
 //
 // With -serve it is instead a client for an ivmserve daemon started with
 // the same dataset flags: -query issues one snapshot-isolated query and
-// -stats prints the daemon's health counters.
+// -stats prints the daemon's statistics document as indented JSON.
 //
 //	viewctl -dataset PTF-5 -serve 127.0.0.1:7420 -query view
 //	viewctl -dataset PTF-5 -serve 127.0.0.1:7420 -query linf:2 -qmode complete
@@ -27,6 +27,7 @@ import (
 	"github.com/arrayview/arrayview/internal/bench"
 	"github.com/arrayview/arrayview/internal/cluster"
 	"github.com/arrayview/arrayview/internal/maintain"
+	"github.com/arrayview/arrayview/internal/obs"
 	"github.com/arrayview/arrayview/internal/query"
 	"github.com/arrayview/arrayview/internal/serve"
 	"github.com/arrayview/arrayview/internal/shape"
@@ -49,7 +50,7 @@ func main() {
 		serveAt  = flag.String("serve", "", "ivmserve daemon address; switches viewctl into query-client mode")
 		querySp  = flag.String("query", "", "query shape: \"view\", or kind:radius with kind l1|l2|linf (with -serve)")
 		qmode    = flag.String("qmode", "auto", "auto|view|complete (with -serve -query)")
-		stats    = flag.Bool("stats", false, "print the serving daemon's health counters (with -serve)")
+		stats    = flag.Bool("stats", false, "print the serving daemon's statistics as JSON (with -serve)")
 	)
 	flag.Parse()
 
@@ -108,22 +109,9 @@ func runClient(dataset, modeName string, small bool, addr, querySpec, qmode stri
 		if err != nil {
 			return err
 		}
-		fmt.Printf("epoch=%d pins=%d retained=%d (%d bytes)\n", st.Epoch, st.Pins, st.Retained, st.RetainedBytes)
-		fmt.Printf("cache: hits=%d misses=%d rate=%.2f resident=%d bytes\n",
-			st.CacheHits, st.CacheMisses, st.HitRate(), st.CacheBytes)
-		fmt.Printf("admission: queries=%d rejected=%d\n", st.Queries, st.Rejected)
-		a := st.Adaptive
-		fmt.Printf("adaptive: heavy=%d light=%d pending=%d chunks (%d cells) deferred=%d lazy-mats=%d drained=%d flips=%d/%d memo=%d/%d hits/misses\n",
-			a.HeavyChunks, a.LightChunks, a.PendingChunks, a.PendingCells,
-			a.Deferred, a.LazyMats, a.Drained, a.Promotions, a.Demotions,
-			a.MemoHits, a.MemoMisses)
-		d := st.Durable
-		fmt.Printf("durable: commits=%d rollbacks=%d checkpoints=%d wal=%d bytes seg=%d bytes fsyncs=%d\n",
-			d.Commits, d.Rollbacks, d.Checkpoints, d.WALBytes, d.SegBytes, d.Syncs)
-		fp := st.FastPath
-		fmt.Printf("fast path: view=%d/%d hits/misses resident=%d bytes evicted=%d invalidated=%d memo=%d/%d hits/misses solves-skipped=%d\n",
-			fp.ViewHits, fp.ViewMisses, fp.ViewBytes, fp.ViewEvictions,
-			fp.ViewInvalidations, fp.MemoHits, fp.MemoMisses, fp.SolveSkips)
+		if err := obs.WriteJSON(os.Stdout, st); err != nil {
+			return err
+		}
 	}
 	if querySpec == "" {
 		if !stats {

@@ -19,9 +19,9 @@ type BatchResult struct {
 	Units        int
 	Triples      int
 	Transfers    int
-	// Phases breaks Exec down by pipeline phase (transfer, view-move,
-	// join, merge, catalog-refresh, ingest, cleanup); NodeTasks is the
-	// per-node join-task busy time. Both come from the batch's obs.Trace.
+	// Phases breaks Exec down by pipeline phase (validate, snapshot,
+	// transfer, join, merge, commit, cleanup); NodeTasks is the per-node
+	// join-task busy time. Both come from the batch's obs.Trace.
 	Phases    []obs.PhaseTiming
 	NodeTasks []obs.NodeTiming
 }

@@ -57,8 +57,8 @@ type Report struct {
 	Plan         *Plan
 	Ledger       *cluster.Ledger
 	// Trace is the phase-span breakdown of Execute: where ExecSeconds went
-	// (transfer, view-move, join, merge, catalog-refresh, ingest, cleanup)
-	// and per-node task busy time.
+	// (validate, snapshot, transfer, join, merge, commit, cleanup) and
+	// per-node task busy time.
 	Trace *obs.Trace
 }
 

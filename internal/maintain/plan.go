@@ -47,6 +47,52 @@ func NewPlan(strategy string, n int) *Plan {
 	}
 }
 
+// AssemblePlan builds an executable plan from a cached placement rather
+// than a solve: site picks unit i's join site and home an affected view
+// chunk's home (asked once per chunk), each under its caller's own
+// policy. Every chunk ships directly from its live home, at most once per
+// destination, so any subset of the transfers may be deferred. Brand-new
+// delta chunks get their post-batch home from the static array placement,
+// as a fresh solve would record in ArrayRehome.
+func AssemblePlan(ctx *Context, strategy string, site func(int, view.Unit) int, home func(array.ChunkKey) int) *Plan {
+	n := ctx.Cluster.NumNodes()
+	p := NewPlan(strategy, len(ctx.Units))
+	type ship struct {
+		ref view.ChunkRef
+		to  int
+	}
+	shipped := make(map[ship]bool)
+	addShip := func(ref view.ChunkRef, to int) {
+		from := ctx.HomeOf(ref)
+		if from == to || shipped[ship{ref, to}] {
+			return
+		}
+		shipped[ship{ref, to}] = true
+		p.Transfers = append(p.Transfers, Transfer{Ref: ref, From: from, To: to})
+	}
+	for i, u := range ctx.Units {
+		j := site(i, u)
+		p.JoinSite[i] = j
+		addShip(u.P, j)
+		addShip(u.Q, j)
+		for _, v := range u.Views {
+			if _, ok := p.ViewHome[v]; !ok {
+				p.ViewHome[v] = home(v)
+			}
+		}
+	}
+	for _, ref := range ctx.DeltaRefs() {
+		if !ctx.IsDelta(ref) {
+			continue
+		}
+		base := ctx.BaseNameFor(ref.Array)
+		if _, exists := ctx.Cluster.Catalog().Home(base, ref.Key); !exists {
+			p.ArrayRehome[ref] = ctx.ArrayPlacement.Place(ref.Key, n)
+		}
+	}
+	return p
+}
+
 // Validate checks the plan's structural constraints against the context:
 // C3/C5 (every unit has a join site in range), C2 (both chunks of a unit
 // are resident at the join site after the plan's transfers), and C1 (every

@@ -180,51 +180,16 @@ func (e *scratchEntry) rebuildUnits(baseName, deltaName string) []view.Unit {
 	return units
 }
 
-// rebuildPlan assembles an executable plan from the cached solution: cached
-// join sites and view homes, with the transfer list rebuilt against the
-// live catalog (chunks ship directly from wherever they live now). New
-// delta chunks get their post-batch home from the static placement, as a
-// fresh solve would record in ArrayRehome.
+// rebuildPlan assembles an executable plan from the cached solution:
+// cached join sites and view homes (hinted for view chunks the solve never
+// saw), with the transfer list rebuilt against the live catalog.
 func (e *scratchEntry) rebuildPlan(ctx *Context) *Plan {
-	n := ctx.Cluster.NumNodes()
-	p := NewPlan("scratch-reuse", len(ctx.Units))
-	type ship struct {
-		ref view.ChunkRef
-		to  int
-	}
-	shipped := make(map[ship]bool)
-	addShip := func(ref view.ChunkRef, to int) {
-		from := ctx.HomeOf(ref)
-		if from == to || shipped[ship{ref, to}] {
-			return
-		}
-		shipped[ship{ref, to}] = true
-		p.Transfers = append(p.Transfers, Transfer{Ref: ref, From: from, To: to})
-	}
-	for i, u := range ctx.Units {
-		site := e.joinSite[i]
-		p.JoinSite[i] = site
-		addShip(u.P, site)
-		addShip(u.Q, site)
-		for _, v := range u.Views {
-			if _, ok := p.ViewHome[v]; ok {
-				continue
-			}
+	return AssemblePlan(ctx, "scratch-reuse",
+		func(i int, _ view.Unit) int { return e.joinSite[i] },
+		func(v array.ChunkKey) int {
 			if home, ok := e.viewHome[v]; ok {
-				p.ViewHome[v] = home
-			} else {
-				p.ViewHome[v] = ctx.ViewHomeHint(v)
+				return home
 			}
-		}
-	}
-	for _, ref := range ctx.DeltaRefs() {
-		if !ctx.IsDelta(ref) {
-			continue
-		}
-		base := ctx.BaseNameFor(ref.Array)
-		if _, exists := ctx.Cluster.Catalog().Home(base, ref.Key); !exists {
-			p.ArrayRehome[ref] = ctx.ArrayPlacement.Place(ref.Key, n)
-		}
-	}
-	return p
+			return ctx.ViewHomeHint(v)
+		})
 }

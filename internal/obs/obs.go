@@ -1,7 +1,8 @@
 // Package obs is the observability substrate of the maintenance pipeline:
-// per-batch phase spans and atomic counters. It is deliberately pull-based
-// and allocation-light — recording a span is two time.Now calls and an
-// atomic add, so instrumentation never perturbs the numbers it reports.
+// per-batch phase spans, atomic counters, and the JSON metrics listener
+// the daemons share. It is deliberately pull-based and allocation-light —
+// recording a span is two time.Now calls and an atomic add, so
+// instrumentation never perturbs the numbers it reports.
 //
 // A Trace accumulates time per named phase plus per-node busy time. Every
 // phase records two quantities with distinct semantics:
@@ -30,16 +31,13 @@ import (
 
 // Canonical phase names of one maintained batch, in pipeline order.
 const (
-	PhaseValidate = "validate"        // plan validation + ledger charge
-	PhaseSnapshot = "snapshot"        // catalog rollback-baseline capture
-	PhaseTransfer = "transfer"        // chunk replication per the plan
-	PhaseViewMove = "view-move"       // legacy: pre-commit view relocation
-	PhaseJoin     = "join"            // per-node chunk-pair joins (wall-clock)
-	PhaseMerge    = "merge"           // folding partials into staging (busy)
-	PhaseCommit   = "commit"          // idempotent apply of staged mutations
-	PhaseCatalog  = "catalog-refresh" // legacy: view chunk metadata refresh
-	PhaseIngest   = "ingest"          // legacy: pre-commit delta ingestion
-	PhaseCleanup  = "cleanup"         // staging + scratch replica teardown
+	PhaseValidate = "validate" // plan validation + ledger charge
+	PhaseSnapshot = "snapshot" // catalog rollback-baseline capture
+	PhaseTransfer = "transfer" // chunk replication per the plan
+	PhaseJoin     = "join"     // per-node chunk-pair joins (wall-clock)
+	PhaseMerge    = "merge"    // folding partials into staging (busy)
+	PhaseCommit   = "commit"   // idempotent apply of staged mutations
+	PhaseCleanup  = "cleanup"  // staging + scratch replica teardown
 )
 
 // Counter is an atomic cumulative counter.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"net"
 	"sync"
@@ -41,9 +42,6 @@ type Config struct {
 	// cluster.DefaultViewCacheBytes; negative disables view caching while
 	// keeping the plan memo).
 	ViewCacheBytes int64
-	// JoinWorkers is the snapshot-join fan-out width (<= 0 means
-	// GOMAXPROCS, 1 forces the serial kernel).
-	JoinWorkers int
 	// DisableFastPath turns off every serving accelerator — view cache,
 	// plan memo, and parallel joins — for A/B comparison.
 	DisableFastPath bool
@@ -89,7 +87,9 @@ func (c *Config) cacheBytes() int64 {
 }
 
 // Stats is the serving daemon's point-in-time health summary: the snapshot
-// manager's state, the read cache's counters, and admission totals.
+// manager's state, the read cache's counters, and admission totals. It is
+// the daemon's one statistics schema: the JSON body of the snapshot reply,
+// the -metrics document, and what viewctl -stats prints.
 type Stats struct {
 	// Epoch is the most recently published epoch.
 	Epoch uint64
@@ -139,13 +139,6 @@ type Server struct {
 	lim *Limiter
 	cfg Config
 
-	// fresh, when set, runs after admission and before the snapshot pin:
-	// the adaptive maintenance layer materializes pending light-chunk
-	// deltas there through the normal commit path, so the epoch this query
-	// then pins already includes them. Running before Acquire is what
-	// keeps snapshot isolation exact — a materialization is just another
-	// commit publishing its own epoch.
-	fresh func(context.Context) error
 	// adaptive, when set, feeds Stats().Adaptive.
 	adaptive *obs.AdaptiveCounters
 	// durable, when set, feeds Stats().Durable.
@@ -166,7 +159,10 @@ type Server struct {
 // current catalog state) if they are not on already. A nil config uses the
 // defaults.
 func NewServer(eng *query.Engine, cfg *Config) *Server {
-	s := &Server{eng: eng, conns: make(map[net.Conn]struct{})}
+	// The server answers from its own copy of the engine, so the fast path
+	// and the freshness hook attach without touching the caller's.
+	fe := *eng
+	s := &Server{eng: &fe, conns: make(map[net.Conn]struct{})}
 	if cfg != nil {
 		s.cfg = *cfg
 	}
@@ -183,12 +179,9 @@ func NewServer(eng *query.Engine, cfg *Config) *Server {
 		if s.cfg.ViewCacheBytes < 0 {
 			f.Views = nil
 		}
-		f.JoinWorkers = s.cfg.JoinWorkers
-		// The daemon serves from the fast-path engine; invalidation rides
-		// every epoch publish so a cached view can never cross a commit.
-		fe := *eng
+		// Invalidation rides every epoch publish so a cached view can never
+		// cross a commit.
 		fe.Fast = f
-		s.eng = &fe
 		if f.Views != nil {
 			eng.Cluster.Epochs().OnPublish(f.Views.InvalidateBefore)
 		}
@@ -199,10 +192,16 @@ func NewServer(eng *query.Engine, cfg *Config) *Server {
 // Engine returns the wrapped query engine.
 func (s *Server) Engine() *query.Engine { return s.eng }
 
-// SetFresh installs the pre-pin freshness hook (see the field docs) and
-// the adaptive counters surfaced through Stats. Call before Listen.
+// SetFresh installs fresh as the served engine's Fresh hook and the
+// adaptive counters surfaced through Stats. Answer runs the hook after
+// admission and before the snapshot pin: the adaptive maintenance layer
+// materializes pending light-chunk deltas there through the normal commit
+// path, so the epoch the query then pins already includes them. Running
+// before Acquire is what keeps snapshot isolation exact — a
+// materialization is just another commit publishing its own epoch. Call
+// before Listen.
 func (s *Server) SetFresh(fresh func(context.Context) error, counters *obs.AdaptiveCounters) {
-	s.fresh = fresh
+	s.eng.Fresh = fresh
 	s.adaptive = counters
 }
 
@@ -249,8 +248,8 @@ func (s *Server) Answer(ctx context.Context, queryShape *shape.Shape, mode query
 		return nil, 0, err
 	}
 	defer release()
-	if s.fresh != nil {
-		if err := s.fresh(ctx); err != nil {
+	if s.eng.Fresh != nil {
+		if err := s.eng.Fresh(ctx); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -405,46 +404,11 @@ func (s *Server) handle(req *transport.Message) *transport.Message {
 		return s.handleQuery(req)
 
 	case transport.MsgSnapshot:
-		st := s.Stats()
-		return &transport.Message{
-			Type:          transport.MsgSnapshotReply,
-			Epoch:         st.Epoch,
-			Pins:          st.Pins,
-			Retained:      st.Retained,
-			RetainedBytes: st.RetainedBytes,
-			CacheHits:     st.CacheHits,
-			CacheMisses:   st.CacheMisses,
-			CacheBytes:    st.CacheBytes,
-			Queries:       st.Queries,
-			Rejected:      st.Rejected,
-			HeavyChunks:   st.Adaptive.HeavyChunks,
-			LightChunks:   st.Adaptive.LightChunks,
-			PendingChunks: st.Adaptive.PendingChunks,
-			PendingCells:  st.Adaptive.PendingCells,
-			Deferred:      st.Adaptive.Deferred,
-			LazyMats:      st.Adaptive.LazyMats,
-			Drained:       st.Adaptive.Drained,
-			Promotions:    st.Adaptive.Promotions,
-			Demotions:     st.Adaptive.Demotions,
-			MemoHits:      st.Adaptive.MemoHits,
-			MemoMisses:    st.Adaptive.MemoMisses,
-
-			DurCommits:     st.Durable.Commits,
-			DurRollbacks:   st.Durable.Rollbacks,
-			DurCheckpoints: st.Durable.Checkpoints,
-			DurWALBytes:    st.Durable.WALBytes,
-			DurSegBytes:    st.Durable.SegBytes,
-			DurSyncs:       st.Durable.Syncs,
-
-			FPViewHits:          st.FastPath.ViewHits,
-			FPViewMisses:        st.FastPath.ViewMisses,
-			FPViewBytes:         st.FastPath.ViewBytes,
-			FPViewEvictions:     st.FastPath.ViewEvictions,
-			FPViewInvalidations: st.FastPath.ViewInvalidations,
-			FPMemoHits:          st.FastPath.MemoHits,
-			FPMemoMisses:        st.FastPath.MemoMisses,
-			FPSolveSkips:        st.FastPath.SolveSkips,
+		body, err := json.Marshal(s.Stats())
+		if err != nil {
+			return errMsg(err)
 		}
+		return &transport.Message{Type: transport.MsgSnapshotReply, Spec: body}
 
 	default:
 		return &transport.Message{Type: transport.MsgErr,

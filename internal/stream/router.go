@@ -159,67 +159,40 @@ func (r *router) adopt(ctx *maintain.Context, p *maintain.Plan, touch map[array.
 
 // reusePlan assembles an executable plan from the cached placement: cached
 // join sites for known pairs, a cheap greedy site for new ones, cached (or
-// hinted) view homes, and a flat direct-from-home transfer list. Pending
-// chunks (absent from the catalog until a predecessor commits) get a
-// placeholder transfer from the coordinator, which validates — HomeOf
-// reports Coordinator for absent chunks — and is always deferred by the
-// caller, then re-resolved against the live catalog after the commit fence.
+// hinted) view homes, and a flat direct-from-home transfer list. New sites
+// and hints join the cache. Pending chunks (absent from the catalog until a
+// predecessor commits) get a placeholder transfer from the coordinator,
+// which validates — HomeOf reports Coordinator for absent chunks — and is
+// always deferred by the caller, then re-resolved against the live catalog
+// after the commit fence. The brand-new delta chunks' ArrayRehome entries
+// come from the same static placement a successor's pending-key guess uses,
+// so the two agree.
 func (r *router) reusePlan(ctx *maintain.Context) *maintain.Plan {
+	if r.joinSite == nil {
+		r.joinSite = make(map[pairKey]int)
+	}
+	if r.viewHome == nil {
+		r.viewHome = make(map[array.ChunkKey]int)
+	}
 	n := ctx.Cluster.NumNodes()
-	p := maintain.NewPlan("stream-reuse", len(ctx.Units))
-	type ship struct {
-		ref view.ChunkRef
-		to  int
-	}
-	shipped := make(map[ship]bool)
-	addShip := func(ref view.ChunkRef, to int) {
-		from := ctx.HomeOf(ref)
-		if from == to || shipped[ship{ref, to}] {
-			return
-		}
-		shipped[ship{ref, to}] = true
-		p.Transfers = append(p.Transfers, maintain.Transfer{Ref: ref, From: from, To: to})
-	}
-	for i, u := range ctx.Units {
-		site, ok := r.joinSite[pairKeyOf(ctx, u)]
-		if !ok {
-			site = r.greedySite(ctx, u, n)
-			if r.joinSite == nil {
-				r.joinSite = make(map[pairKey]int)
+	return maintain.AssemblePlan(ctx, "stream-reuse",
+		func(_ int, u view.Unit) int {
+			k := pairKeyOf(ctx, u)
+			site, ok := r.joinSite[k]
+			if !ok {
+				site = r.greedySite(ctx, u, n)
+				r.joinSite[k] = site
 			}
-			r.joinSite[pairKeyOf(ctx, u)] = site
-		}
-		p.JoinSite[i] = site
-		addShip(u.P, site)
-		addShip(u.Q, site)
-		for _, v := range u.Views {
-			if _, ok := p.ViewHome[v]; ok {
-				continue
-			}
+			return site
+		},
+		func(v array.ChunkKey) int {
 			home, ok := r.viewHome[v]
 			if !ok {
 				home = ctx.ViewHomeHint(v)
-				if r.viewHome == nil {
-					r.viewHome = make(map[array.ChunkKey]int)
-				}
 				r.viewHome[v] = home
 			}
-			p.ViewHome[v] = home
-		}
-	}
-	// Brand-new delta chunks get their post-batch home from the static
-	// placement, recorded in the plan so the commit uses it — and so a
-	// successor's pending-key guess (the same placement) agrees with it.
-	for _, ref := range ctx.DeltaRefs() {
-		if !ctx.IsDelta(ref) {
-			continue
-		}
-		base := ctx.BaseNameFor(ref.Array)
-		if _, exists := ctx.Cluster.Catalog().Home(base, ref.Key); !exists {
-			p.ArrayRehome[ref] = ctx.ArrayPlacement.Place(ref.Key, n)
-		}
-	}
-	return p
+			return home
+		})
 }
 
 // greedySite picks a join site for a pair outside the cached solution:

@@ -37,6 +37,7 @@ func FuzzReadMessage(f *testing.F) {
 		}},
 		{Type: MsgBoolList, Flags: []bool{true, false, true}},
 		{Type: MsgErr, Err: "boom"},
+		{Type: MsgSnapshotReply, Spec: []byte(`{"Epoch":3,"Pins":1,"Adaptive":{"Deferred":2}}`)},
 	}
 	for _, m := range seeds {
 		f.Add(frameBytes(f, m, 0))

@@ -222,7 +222,8 @@ func replayJournal(walData, segData []byte, cut int64) (map[string]map[array.Chu
 		}
 		switch r.kind {
 		case recPut:
-			if r.off < 0 || r.size < 0 || r.off+r.size > int64(len(segData)) {
+			// Compare without adding: off+size overflows for hostile refs.
+			if r.off < 0 || r.size < 0 || r.off > int64(len(segData)) || r.size > int64(len(segData))-r.off {
 				replayErr = fmt.Errorf("wal: segment ref %d+%d beyond %d bytes", r.off, r.size, len(segData))
 				return false
 			}
